@@ -23,16 +23,6 @@
 //! Both drains flush an aggregate trace that is checked against the
 //! committed `budgets.toml` — the same gate `scripts/verify.sh` applies
 //! via `tps trace check` to the record's embedded `trace`.
-//!
-//! A third phase drives the server with the **open-loop** generator
-//! (`tps_serve::run_open_loop`): a fixed arrival schedule paced at one
-//! request per interval, twice — once against a plain server (`--shards
-//! 1`, batching off) and once against the scatter/gather plane (`--shards
-//! 2`, a 1-tick batching window). Latency is measured from each request's
-//! *scheduled* arrival, so queueing delay is charged to the server; the
-//! before/after percentiles are persisted side by side in the record and
-//! the sharded drain trace is audited against the batching/sharding
-//! budget rules.
 
 use crate::table::{epochs, Table};
 use crate::{Report, WorldBundle, SEED};
@@ -47,9 +37,7 @@ use tps_core::recall::RecallConfig;
 use tps_core::select::fine::FineSelectionConfig;
 use tps_core::telemetry::{budget, Telemetry, TraceReport};
 use tps_serve::protocol::{extract_result, status_of};
-use tps_serve::{
-    run_open_loop, Client, LoadgenPlan, Request, SelectionResult, ServeConfig, ServeSummary, Server,
-};
+use tps_serve::{Client, Request, SelectionResult, ServeConfig, ServeSummary, Server};
 use tps_zoo::{SyntheticConfig, World, ZooOracle, ZooTrainer};
 
 /// Concurrent clients in the correctness phase.
@@ -91,39 +79,9 @@ struct LoadgenRecord {
     access_log_dropped: u64,
     /// Epoch-equivalents billed by the phase-1 server.
     total_epochs: f64,
-    /// Phase-3 open-loop run against a plain server (`shards 1`, no
-    /// batching window).
-    openloop_before: OpenloopSnapshot,
-    /// Phase-3 open-loop run against the scatter/gather plane (`shards
-    /// 2`, 1-tick batching window) — byte-identical responses, different
-    /// latency shape.
-    openloop_after: OpenloopSnapshot,
     /// Phase-1 aggregate trace (extracted by `repro loadgen --trace-out`;
     /// checked against `budgets.toml` in CI).
     trace: TraceReport,
-}
-
-/// What one open-loop run against one server configuration measured.
-#[derive(Serialize, Deserialize)]
-struct OpenloopSnapshot {
-    shards: usize,
-    batch_window_ticks: u64,
-    requests: u64,
-    ok: u64,
-    overloaded: u64,
-    errors: u64,
-    /// Requests the server actually executed (the rest were cache hits).
-    executed: u64,
-    /// Scatter/batching accounting from the server's drain stats.
-    sharded_requests: u64,
-    batch_calls: u64,
-    batch_jobs: u64,
-    /// Open-loop latency percentiles (µs), measured from each request's
-    /// scheduled arrival.
-    p50_us: u64,
-    p95_us: u64,
-    p99_us: u64,
-    max_us: u64,
 }
 
 /// A 4-target sibling of the chaos/smoke world — same shape, but with
@@ -417,90 +375,6 @@ fn overload_phase(
     })
 }
 
-/// Phase 3: open-loop arrival schedule against one server configuration.
-/// Every response is still answered (ok or a structured rejection), the
-/// accounting identity closes exactly, and the drain trace passes the
-/// committed budgets — including the batching/sharding reconciliation
-/// rules when the scatter plane is on.
-fn openloop_phase(bundle: &WorldBundle, shards: usize, ticks: u64) -> OpenloopSnapshot {
-    let server = Server::bind(
-        &bundle.world,
-        &bundle.artifacts,
-        ServeConfig {
-            max_inflight: 2,
-            queue_depth: 64,
-            cache_capacity: 64,
-            shards,
-            batch_window_ticks: ticks,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind a loopback listener");
-    let addr = server.addr().to_string();
-    let plan = LoadgenPlan {
-        requests: 400,
-        interval_us: 500,
-        conns: 4,
-        seed: 7,
-        targets: bundle
-            .world
-            .targets
-            .iter()
-            .map(|t| t.name.clone())
-            .collect(),
-        top_k: Some(TOP_KS[0]),
-    };
-    let (report, summary) = std::thread::scope(|s| {
-        let handle = s.spawn(|| server.run().expect("server drains cleanly"));
-        let report = run_open_loop(&addr, &plan).expect("open-loop run completes");
-        let mut client = Client::connect(&addr).expect("drain client connects");
-        let line = client
-            .request(&Request::control(9_999, "shutdown"))
-            .expect("shutdown acknowledged");
-        assert_eq!(status_of(&line), Some("ok"), "{}", clip(&line));
-        (report, handle.join().expect("server thread joins"))
-    });
-
-    let what = format!("openloop shards={shards} ticks={ticks}");
-    assert_eq!(
-        report.ok + report.overloaded + report.errors,
-        report.requests,
-        "{what}: accounting identity must close"
-    );
-    assert_eq!(report.errors, 0, "{what}: no severed connections");
-    assert!(report.ok >= 1, "{what}: at least one request answered");
-    let stats = &summary.stats;
-    if shards > 1 {
-        assert_eq!(
-            stats.sharded_requests, stats.executed,
-            "{what}: every execution went through the scatter plane"
-        );
-    }
-    if ticks > 0 {
-        assert!(stats.batch_calls > 0, "{what}: batching was exercised");
-        assert!(stats.batch_calls <= stats.batch_jobs);
-    }
-    assert!(summary.trace.completed);
-    check_against_budgets(&summary.trace, &what);
-
-    OpenloopSnapshot {
-        shards,
-        batch_window_ticks: ticks,
-        requests: report.requests,
-        ok: report.ok,
-        overloaded: report.overloaded,
-        errors: report.errors,
-        executed: stats.executed,
-        sharded_requests: stats.sharded_requests,
-        batch_calls: stats.batch_calls,
-        batch_jobs: stats.batch_jobs,
-        p50_us: report.p50_us,
-        p95_us: report.p95_us,
-        p99_us: report.p99_us,
-        max_us: report.max_us,
-    }
-}
-
 /// Service load test: concurrency, caching, budgets, faults, overload.
 pub fn loadgen() -> Report {
     let bundle = WorldBundle::from_world(serve_world());
@@ -553,9 +427,6 @@ pub fn loadgen() -> Report {
     assert!(overload.trace.completed);
     check_against_budgets(&overload.trace, "overload-phase");
 
-    let openloop_before = openloop_phase(&bundle, 1, 0);
-    let openloop_after = openloop_phase(&bundle, 2, 1);
-
     let mut table = Table::new(vec![
         "phase", "requests", "executed", "hits", "rejected", "epochs",
     ]);
@@ -600,23 +471,6 @@ pub fn loadgen() -> Report {
         stats.access_log_records,
         stats.access_log_dropped,
     );
-    let body = format!(
-        "{body}open-loop ({} requests @ {}µs): plain p50 {} p95 {} p99 {} — \
-         sharded+batched p50 {} p95 {} p99 {} (shards {}, window {} tick(s), \
-         {} batch call(s) / {} job(s))\n",
-        openloop_before.requests,
-        500,
-        openloop_before.p50_us,
-        openloop_before.p95_us,
-        openloop_before.p99_us,
-        openloop_after.p50_us,
-        openloop_after.p95_us,
-        openloop_after.p99_us,
-        openloop_after.shards,
-        openloop_after.batch_window_ticks,
-        openloop_after.batch_calls,
-        openloop_after.batch_jobs,
-    );
 
     let record = LoadgenRecord {
         n_models: bundle.world.n_models(),
@@ -642,8 +496,6 @@ pub fn loadgen() -> Report {
         access_log_records: stats.access_log_records,
         access_log_dropped: stats.access_log_dropped,
         total_epochs: stats.total_epochs,
-        openloop_before,
-        openloop_after,
         trace: summary.trace,
     };
     // Persisted as `results/serve.json` — the service's benchmark record
@@ -681,18 +533,5 @@ mod tests {
         assert_eq!(record.trace.counter("serve.access_log_records"), Some(26.0));
         assert!(record.window_p50_us <= record.window_p95_us);
         assert!(record.window_p95_us <= record.window_p99_us);
-        // The open-loop phase rides along: plain vs sharded+batched, both
-        // closing the accounting identity with the scatter plane audited.
-        assert_eq!(record.openloop_before.shards, 1);
-        assert_eq!(record.openloop_after.shards, 2);
-        assert_eq!(
-            record.openloop_after.ok + record.openloop_after.overloaded,
-            record.openloop_after.requests
-        );
-        assert_eq!(
-            record.openloop_after.sharded_requests,
-            record.openloop_after.executed
-        );
-        assert!(record.openloop_after.batch_calls > 0);
     }
 }

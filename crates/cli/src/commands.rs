@@ -90,7 +90,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "trace" => cmd_trace(args),
         "serve" => cmd_serve(args),
         "client" => cmd_client(args),
-        "loadgen" => cmd_loadgen(args),
         "top" => cmd_top(args),
         "help" => Ok(usage()),
         other => Err(CliError::Usage(format!(
@@ -178,8 +177,7 @@ search beam; results are deterministic for any thread count either way.
                                              [--ready-file FILE] [--trace-out FILE]
                                              [--access-log FILE] [--slo-ms N]
                                              [--max-line-bytes N] [--stall-timeout-ms N]
-                                             [--net-fault-plan FILE] [--shards N]
-                                             [--batch-window-ticks N]
+                                             [--net-fault-plan FILE]
            a `{\"op\":\"reload\"}` request (or SIGHUP) hot-swaps to the current
            on-disk world+artifacts without dropping in-flight requests;
            request lines over --max-line-bytes (default 1 MiB) are rejected
@@ -187,13 +185,7 @@ search beam; results are deterministic for any thread count either way.
            --stall-timeout-ms (default 30000; 0 disables) drops the
            connection; --net-fault-plan injects deterministic response
            faults (`response INDEX disconnect|partial|garbage|stall`) for
-           chaos drills; --shards N partitions the zoo across N scatter/
-           gather shard workers (cluster -> shard is a pure function of the
-           partition seed, and responses are byte-identical at any shard
-           count); --batch-window-ticks N coalesces proxy scorings and
-           halving fan-outs from different in-flight requests into one
-           substrate call per N-tick window (0 disables; both require
-           --ann exact)
+           chaos drills
   client   send requests to a running server  --addr HOST:PORT [--request JSON]
                                              [--file FILE] [--metrics true]
                                              [--shutdown true] [--retries N]
@@ -201,22 +193,11 @@ search beam; results are deterministic for any thread count either way.
                                              (stdin lines when no request source given)
            --retries reconnects and resends through severed/garbled/stalled
            connections; safe because retried responses are byte-identical
-  loadgen  open-loop load generator           --addr HOST:PORT --targets A,B,C
-                                             [--requests N] [--interval-us N]
-                                             [--conns N] [--seed N] [--top-k N]
-                                             [--format text|json]
-           drives a running server with a deterministic arrival schedule
-           (request n is due at t0 + n*interval, target chosen by seeded
-           mix) and reports p50/p95/p99/max latency measured from each
-           request's *scheduled* arrival, so sender slip is charged to
-           the server
   top      live dashboard over a server       --addr HOST:PORT [--interval-ms N]
                                              [--samples N] [--once true]
            polls `{\"op\":\"metrics\"}` + `{\"op\":\"stats\"}` and renders rates,
-           window percentiles, occupancy, generation, SLO burn, and — when
-           the scatter plane is on — per-shard busy/jobs occupancy and
-           batch-width gauges; `--once true` prints one machine-readable
-           JSON line for CI
+           window percentiles, occupancy, generation, and SLO burn;
+           `--once true` prints one machine-readable JSON line for CI
   help     this message
 
 `tps serve` loads the artifacts once, then answers line-delimited JSON
@@ -1411,8 +1392,6 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
         "max-line-bytes",
         "stall-timeout-ms",
         "net-fault-plan",
-        "shards",
-        "batch-window-ticks",
     ])?;
     let source = serve_source(args)?;
     let (world, artifacts) = load_serve_source(&source).map_err(CliError::Io)?;
@@ -1449,19 +1428,7 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
             ms => Some(ms),
         },
         net_faults: std::sync::Arc::new(net_faults),
-        shards: args.get_parse("shards", 1usize, "integer")?,
-        batch_window_ticks: args.get_parse("batch-window-ticks", 0u64, "integer")?,
     };
-    // Mirror bind()'s validation with a friendlier usage error: the
-    // scatter plane's byte-identity proof only covers exact recall.
-    if (config.shards > 1 || config.batch_window_ticks > 0) && config.ann.mode != AnnMode::Exact {
-        return Err(CliError::Usage(
-            "--shards > 1 / --batch-window-ticks > 0 require --ann exact".to_string(),
-        ));
-    }
-    if config.shards == 0 {
-        return Err(CliError::Usage("--shards must be >= 1".to_string()));
-    }
     tps_serve::install_signal_drain();
     let server = tps_serve::Server::bind(&world, &artifacts, config)
         .map_err(|e| CliError::Io(format!("bind: {e}")))?
@@ -1515,20 +1482,6 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
         "  window: {} request(s), p50 {}µs p95 {}µs p99 {}µs; {} SLO violation(s)",
         w.count, w.p50_us, w.p95_us, w.p99_us, s.slo_violations
     );
-    if s.sharded_requests > 0 {
-        let _ = writeln!(
-            out,
-            "  scatter: {} sharded request(s), {} scatter job(s)",
-            s.sharded_requests, s.shard_scatter_jobs
-        );
-    }
-    if s.batch_calls > 0 {
-        let _ = writeln!(
-            out,
-            "  batching: {} call(s) / {} job(s) coalesced into {} batch(es), widest {}",
-            s.batch_calls, s.batch_jobs, s.batches, s.batch_width_max
-        );
-    }
     if args.get("access-log").is_some() {
         let _ = writeln!(
             out,
@@ -1615,76 +1568,6 @@ fn cmd_client(args: &ParsedArgs) -> Result<String, CliError> {
         let _ = writeln!(out, "{response}");
     }
     Ok(out)
-}
-
-/// `tps loadgen` — drive a running server with a deterministic open-loop
-/// arrival schedule and print the latency report.
-fn cmd_loadgen(args: &ParsedArgs) -> Result<String, CliError> {
-    args.restrict(&[
-        "addr",
-        "requests",
-        "interval-us",
-        "conns",
-        "seed",
-        "targets",
-        "top-k",
-        "format",
-    ])?;
-    let addr = args.require("addr")?;
-    let targets: Vec<String> = args
-        .require("targets")?
-        .split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(str::to_string)
-        .collect();
-    if targets.is_empty() {
-        return Err(CliError::Usage(
-            "--targets needs at least one (comma-separated) target name".to_string(),
-        ));
-    }
-    let plan = tps_serve::LoadgenPlan {
-        requests: args.get_parse("requests", 1_000usize, "integer")?,
-        interval_us: args.get_parse("interval-us", 1_000u64, "integer")?,
-        conns: args.get_parse("conns", 4usize, "integer")?,
-        seed: args.get_parse("seed", 0u64, "integer")?,
-        targets,
-        top_k: match args.get("top-k") {
-            Some(_) => Some(args.get_parse("top-k", 10usize, "integer")?),
-            None => None,
-        },
-    };
-    let report = tps_serve::run_open_loop(addr, &plan)
-        .map_err(|e| CliError::Io(format!("loadgen against {addr}: {e}")))?;
-    match args.get("format").unwrap_or("text") {
-        "json" => {
-            let line = serde_json::to_string(&report)
-                .map_err(|e| CliError::Io(format!("cannot serialize report: {e}")))?;
-            Ok(format!("{line}\n"))
-        }
-        "text" => {
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "open-loop: {} request(s) over {} conn(s), one every {}µs (seed {})",
-                report.requests, plan.conns, plan.interval_us, plan.seed
-            );
-            let _ = writeln!(
-                out,
-                "  {} ok, {} overloaded, {} error(s) in {}µs",
-                report.ok, report.overloaded, report.errors, report.elapsed_us
-            );
-            let _ = writeln!(
-                out,
-                "  latency from scheduled arrival: p50 {}µs p95 {}µs p99 {}µs max {}µs",
-                report.p50_us, report.p95_us, report.p99_us, report.max_us
-            );
-            Ok(out)
-        }
-        other => Err(CliError::Usage(format!(
-            "--format must be text or json (got {other})"
-        ))),
-    }
 }
 
 /// One polled sample of a live server: the stats snapshot plus every
@@ -1810,30 +1693,6 @@ fn render_top(addr: &str, s: &TopSample, prev: Option<(u64, std::time::Duration)
             "  access log: {} record(s), {} dropped",
             s.stat("access_log_records"),
             s.stat("access_log_dropped"),
-        );
-    }
-    // Scatter-plane gauges render only when the server exports them, so a
-    // plain server's dashboard is unchanged.
-    let shards = s.metric("tps_serve_shards");
-    if shards > 0 {
-        let per_shard: Vec<String> = (0..shards)
-            .map(|i| {
-                format!(
-                    "s{i} busy {} jobs {}",
-                    s.metric(&format!("tps_serve_shard{i}_busy")),
-                    s.metric(&format!("tps_serve_shard{i}_jobs")),
-                )
-            })
-            .collect();
-        let _ = writeln!(out, "  shards[{shards}]: {}", per_shard.join(" · "));
-    }
-    if s.metrics.contains_key("tps_serve_batch_width_last") {
-        let _ = writeln!(
-            out,
-            "  batching: {} flush(es) · width last {} · width max {}",
-            s.metric("tps_serve_batches"),
-            s.metric("tps_serve_batch_width_last"),
-            s.metric("tps_serve_batch_width_max"),
         );
     }
     out

@@ -62,7 +62,6 @@ pub mod pipeline;
 pub mod proxy;
 pub mod recall;
 pub mod select;
-pub mod shard;
 pub mod similarity;
 pub mod stats;
 pub mod stream;
@@ -98,7 +97,6 @@ pub mod prelude {
         halving::{successive_halving, successive_halving_par},
         SelectionOutcome,
     };
-    pub use crate::shard::{ShardPlan, ShardSpec};
     pub use crate::similarity::SimilarityMatrix;
     pub use crate::stream::StreamingOfflineBuilder;
     pub use crate::telemetry::{RecordingSink, Telemetry, TelemetrySink, TraceReport};

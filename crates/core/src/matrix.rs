@@ -12,8 +12,8 @@ use crate::ids::{DatasetId, ModelId};
 use serde::{Deserialize, Serialize};
 
 /// Dense `|D| × |M|` matrix of fine-tuning test accuracies, stored row-major
-/// by dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// by dataset. Deserialisation runs the same checks as [`Self::new`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PerformanceMatrix {
     model_names: Vec<String>,
     dataset_names: Vec<String>,
@@ -30,43 +30,11 @@ impl PerformanceMatrix {
         dataset_names: Vec<String>,
         rows: Vec<Vec<f64>>,
     ) -> Result<Self> {
-        if model_names.is_empty() {
-            return Err(SelectionError::Empty("model names"));
-        }
-        if dataset_names.is_empty() {
-            return Err(SelectionError::Empty("dataset names"));
-        }
-        if rows.len() != dataset_names.len() {
-            return Err(SelectionError::DimensionMismatch {
-                what: "performance rows",
-                expected: dataset_names.len(),
-                got: rows.len(),
-            });
-        }
-        let n = model_names.len();
-        let mut acc = Vec::with_capacity(n * rows.len());
-        for row in &rows {
-            if row.len() != n {
-                return Err(SelectionError::DimensionMismatch {
-                    what: "performance row",
-                    expected: n,
-                    got: row.len(),
-                });
-            }
-            for &v in row {
-                if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-                    return Err(SelectionError::InvalidValue {
-                        what: "accuracy",
-                        value: v,
-                    });
-                }
-                acc.push(v);
-            }
-        }
+        validate(&model_names, &dataset_names, rows.iter().map(Vec::as_slice))?;
         Ok(Self {
             model_names,
             dataset_names,
-            acc,
+            acc: rows.concat(),
         })
     }
 
@@ -204,6 +172,70 @@ impl PerformanceMatrix {
     }
 }
 
+/// The checks every [`PerformanceMatrix`] passes, whether built by
+/// [`PerformanceMatrix::new`] or deserialised: non-empty names, exactly one
+/// `|M|`-long row per dataset, every accuracy finite and in `[0, 1]`.
+fn validate<'a>(
+    model_names: &[String],
+    dataset_names: &[String],
+    rows: impl ExactSizeIterator<Item = &'a [f64]>,
+) -> Result<()> {
+    if model_names.is_empty() {
+        return Err(SelectionError::Empty("model names"));
+    }
+    if dataset_names.is_empty() {
+        return Err(SelectionError::Empty("dataset names"));
+    }
+    if rows.len() != dataset_names.len() {
+        return Err(SelectionError::DimensionMismatch {
+            what: "performance rows",
+            expected: dataset_names.len(),
+            got: rows.len(),
+        });
+    }
+    let n = model_names.len();
+    for row in rows {
+        if row.len() != n {
+            return Err(SelectionError::DimensionMismatch {
+                what: "performance row",
+                expected: n,
+                got: row.len(),
+            });
+        }
+        if let Some(&v) = row
+            .iter()
+            .find(|v| !v.is_finite() || !(0.0..=1.0).contains(*v))
+        {
+            return Err(SelectionError::InvalidValue {
+                what: "accuracy",
+                value: v,
+            });
+        }
+    }
+    Ok(())
+}
+
+impl Deserialize for PerformanceMatrix {
+    fn deserialize_value(v: &serde::value::Value) -> std::result::Result<Self, serde::Error> {
+        let m = serde::__private::expect_object(v, "PerformanceMatrix")?;
+        let model_names: Vec<String> = serde::__private::field(m, "model_names")?;
+        let dataset_names: Vec<String> = serde::__private::field(m, "dataset_names")?;
+        let acc: Vec<f64> = serde::__private::field(m, "acc")?;
+        // `max(1)`: with no models `validate` fails before reading a row.
+        validate(
+            &model_names,
+            &dataset_names,
+            acc.chunks(model_names.len().max(1)),
+        )
+        .map_err(|e| serde::Error::custom(format!("invalid performance matrix: {e}")))?;
+        Ok(Self {
+            model_names,
+            dataset_names,
+            acc,
+        })
+    }
+}
+
 /// Cell-at-a-time builder for [`PerformanceMatrix`].
 #[derive(Debug, Clone)]
 pub struct MatrixBuilder {
@@ -334,6 +366,22 @@ mod tests {
             PerformanceMatrix::new(vec!["m".into()], vec![], vec![]),
             Err(SelectionError::Empty("dataset names"))
         ));
+    }
+
+    #[test]
+    fn deserialize_validates_like_new() {
+        let json = serde_json::to_string(&small()).unwrap();
+        let back: PerformanceMatrix = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, small());
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        let names = r#""model_names":["a","b","c"],"dataset_names":["d0","d1"]"#;
+        for acc in ["[1.5,0.5,0.1,0.8,0.6,-0.2]", "[0.9,0.5,0.1,0.8]"] {
+            let bad = format!("{{{names},\"acc\":{acc}}}");
+            assert!(
+                serde_json::from_str::<PerformanceMatrix>(&bad).is_err(),
+                "{bad} loaded"
+            );
+        }
     }
 
     #[test]

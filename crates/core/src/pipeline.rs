@@ -463,8 +463,8 @@ pub fn two_phase_select_traced(
 /// Combine the two phase outcomes into a [`PipelineOutcome`]: charge the
 /// proxy epochs, merge the fine-selection ledger, derive the deterministic
 /// counters and chain the casualty lists (recall first, then fine-selection
-/// in stage order). Shared by [`two_phase_select_traced`] and by serving
-/// planes that run the phases themselves (e.g. sharded scatter/gather).
+/// in stage order). Shared by [`two_phase_select_traced`] and by callers
+/// that run and time the two phases separately.
 pub fn assemble_outcome(recall: RecallOutcome, selection: SelectionOutcome) -> PipelineOutcome {
     let mut ledger = EpochLedger::new();
     ledger.charge_proxy(recall.proxy_epochs);

@@ -356,18 +356,17 @@ fn ann_candidate_clusters(
 }
 
 /// Proxy scores that survived the retry/quarantine pass, plus the cost and
-/// casualty bookkeeping the pass produced. Shared with the sharded
-/// scatter/gather recall in [`crate::shard`].
-pub(crate) struct ResolvedScores {
+/// casualty bookkeeping the pass produced.
+struct ResolvedScores {
     /// Clusters whose representative produced a usable raw score.
-    pub(crate) clusters: Vec<usize>,
+    clusters: Vec<usize>,
     /// The raw scores, aligned with `clusters`.
-    pub(crate) raw: Vec<f64>,
+    raw: Vec<f64>,
     /// Representatives lost on the way.
-    pub(crate) casualties: Vec<Casualty>,
+    casualties: Vec<Casualty>,
     /// Total proxy-eval attempts, successful or not — the quantity the
     /// paper's `0.5 · |MC|` accounting is charged on.
-    pub(crate) attempts: usize,
+    attempts: usize,
 }
 
 /// Walk the scored clusters in order, resolving each representative's proxy
@@ -378,7 +377,7 @@ pub(crate) struct ResolvedScores {
 /// to `retry.max_attempts` total; permanent failures, exhausted retries,
 /// and non-finite scores quarantine the representative (its cluster drops
 /// to the Eq. 4 fallback). Fatal errors propagate unchanged.
-pub(crate) fn resolve_scores(
+fn resolve_scores(
     representatives: &[ModelId],
     scored_clusters: &[usize],
     first: Vec<Option<Result<f64>>>,
@@ -449,7 +448,7 @@ pub(crate) fn resolve_scores(
 
 /// Shared validation + representative/cluster bookkeeping for both recall
 /// entry points.
-pub(crate) fn prepare_recall(
+fn prepare_recall(
     matrix: &PerformanceMatrix,
     clustering: &Clustering,
     similarity: &SimilarityMatrix,
@@ -492,40 +491,8 @@ pub(crate) fn scored_cluster_set(clustering: &Clustering) -> Vec<usize> {
     }
 }
 
-/// Eq. 3 / Eq. 4 recall score of a single model given the normalised proxy
-/// scores of the surviving clusters. Extracted so the sharded gather in
-/// [`crate::shard`] ranks each partition with exactly the same float
-/// arithmetic as the unsharded path.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn model_recall_score(
-    matrix: &PerformanceMatrix,
-    clustering: &Clustering,
-    similarity: &SimilarityMatrix,
-    representatives: &[ModelId],
-    scored_clusters: &[usize],
-    norm: &[f64],
-    cluster_proxy: &[Option<f64>],
-    m: ModelId,
-) -> f64 {
-    let acc = matrix.avg_accuracy(m);
-    let c = clustering.cluster_of(m);
-    match cluster_proxy[c] {
-        // Eq. 3: member of a scored cluster.
-        Some(p) => acc * p,
-        // Eq. 4: propagate from scored representatives, decayed by
-        // similarity.
-        None => {
-            let mut sum = 0.0;
-            for (&k, &p) in scored_clusters.iter().zip(norm) {
-                sum += similarity.similarity(m, representatives[k]) * p;
-            }
-            acc * sum / scored_clusters.len() as f64
-        }
-    }
-}
-
 /// Turn raw representative proxy scores into the final [`RecallOutcome`].
-pub(crate) fn finish_recall(
+fn finish_recall(
     matrix: &PerformanceMatrix,
     clustering: &Clustering,
     similarity: &SimilarityMatrix,
@@ -549,16 +516,21 @@ pub(crate) fn finish_recall(
     // Recall scores per model.
     let mut ranked: Vec<(ModelId, f64)> = Vec::with_capacity(n);
     for m in matrix.model_ids() {
-        let score = model_recall_score(
-            matrix,
-            clustering,
-            similarity,
-            &representatives,
-            &scored_clusters,
-            &norm,
-            &cluster_proxy,
-            m,
-        );
+        let acc = matrix.avg_accuracy(m);
+        let c = clustering.cluster_of(m);
+        let score = match cluster_proxy[c] {
+            // Eq. 3: member of a scored cluster.
+            Some(p) => acc * p,
+            // Eq. 4: propagate from scored representatives, decayed by
+            // similarity.
+            None => {
+                let mut sum = 0.0;
+                for (&k, &p) in scored_clusters.iter().zip(&norm) {
+                    sum += similarity.similarity(m, representatives[k]) * p;
+                }
+                acc * sum / scored_clusters.len() as f64
+            }
+        };
         ranked.push((m, score));
     }
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));

@@ -16,7 +16,8 @@
 //!   identical requests into one execution.
 //! * [`protocol`] — the wire format: requests, hand-assembled response
 //!   envelopes (so cached bytes survive verbatim), and the fingerprint.
-//! * [`server`] — the worker pool (run through `tps_core::parallel`),
+//! * [`server`] — one blocking reader and one writer thread per
+//!   connection, the worker pool (run through `tps_core::parallel`),
 //!   per-request deadlines and epoch budgets (evaluated by the budget
 //!   engine, surfaced as response violations), and graceful drain: on
 //!   `shutdown`/SIGTERM every admitted request is still answered, then
@@ -38,14 +39,6 @@
 //!   p50/p95/p99 and the `serve.slo_violations` burn counter; together
 //!   with the `{"op":"metrics"}` OpenMetrics scrape they make the server
 //!   observable without draining it.
-//! * `batch` (internal) — the cross-request batcher behind
-//!   `--batch-window-ticks`: proxy scorings and halving `advance_many`
-//!   fan-outs from *different* in-flight requests coalesce into one
-//!   substrate call per window. Safe because every unit is a pure
-//!   function of `(generation, target, model)`.
-//! * [`loadgen`] — a deterministic open-loop arrival client: fixed-seed,
-//!   Poisson-free schedule, pipelined connections, latencies measured
-//!   from scheduled arrival through the same window machinery.
 //!
 //! Determinism contract: for a fixed set of select requests (and cache
 //! capacity at least the number of distinct fingerprints), responses,
@@ -56,10 +49,8 @@
 //! explicitly outside it.
 
 pub mod accesslog;
-mod batch;
 pub mod cache;
 pub mod client;
-pub mod loadgen;
 pub mod netfault;
 pub mod protocol;
 pub mod queue;
@@ -68,7 +59,6 @@ pub mod window;
 
 pub use accesslog::{AccessLog, AccessLogCounters, AccessRecord};
 pub use client::{Client, RetryClient, RetryPolicy};
-pub use loadgen::{run_open_loop, LoadgenPlan, LoadgenReport};
 pub use netfault::{NetFaultKind, NetFaultPlan, NetFaultSite, NetFaultSpec};
 pub use protocol::{Request, SelectionResult};
 pub use server::{

@@ -1,10 +1,25 @@
 //! The resident selection server.
 //!
-//! [`Server::run`] owns three groups of scoped threads: an accept loop
-//! (run inline), one reader + one writer thread per connection, and a
-//! worker pool of `max_inflight` selection workers driven through
-//! `tps_core::parallel::map_indexed` — the same layer the pipeline uses,
-//! so the service's concurrency shares one deterministic thread budget.
+//! [`Server::run`] owns three groups of scoped threads:
+//!
+//! * **Accept loop** (run inline). It polls the nonblocking listener,
+//!   sleeping 2 ms when nothing is pending, and checks the drain and
+//!   reload signals between polls. No request waits on that sleep: it
+//!   only delays the start of a new connection.
+//! * **One reader and one writer thread per connection.** The reader
+//!   blocks in `read`, so a request line is parsed and admitted as soon
+//!   as its bytes arrive. A 50 ms read timeout lets it notice a drain and
+//!   enforce the slow-loris deadline on a partial line. Control ops run
+//!   on the reader thread of the connection that sent them, `reload`
+//!   included, so a reload stalls only that connection's later lines.
+//!   The writer owns the socket's write half, so a slow peer blocks only
+//!   its own replies. Both threads are panic-isolated: a poisoned
+//!   connection costs one `serve.conn_errors`, never the server.
+//! * **Worker pool** of `max_inflight` selection workers driven through
+//!   `tps_core::parallel::map_indexed` — the same layer the pipeline
+//!   uses, so the service's concurrency shares one deterministic thread
+//!   budget.
+//!
 //! Requests flow reader → bounded queue → worker → writer; every admitted
 //! request is answered exactly once, including through a drain.
 //!
@@ -28,12 +43,11 @@ use tps_core::fault::{self, FaultPlan};
 use tps_core::parallel::ParallelConfig;
 use tps_core::pipeline::{two_phase_select_traced, OfflineArtifacts, PipelineConfig};
 use tps_core::recall::RecallConfig;
-use tps_core::select::fine::{fine_selection_traced, FineSelectionConfig};
+use tps_core::select::fine::FineSelectionConfig;
 use tps_core::telemetry::{budget, Telemetry, TraceReport};
 use tps_zoo::{World, ZooOracle, ZooTrainer};
 
 use crate::accesslog::{AccessLog, AccessRecord};
-use crate::batch::{self, BatchedTrainer, Batcher, Unit, UnitKind};
 use crate::cache::{CacheEntry, ResultCache};
 use crate::netfault::{NetFaultKind, NetFaultPlan, NetFaultSite};
 use crate::protocol::{self, Request, SelectionResult};
@@ -123,18 +137,6 @@ pub struct ServeConfig {
     /// Deterministic response-path fault schedule (chaos testing). The
     /// default empty plan is byte-transparent.
     pub net_faults: Arc<NetFaultPlan>,
-    /// Zoo shards for the scatter/gather plane: coarse recall is
-    /// partitioned across this many shard workers (cluster → shard is a
-    /// pure function of the partition seed and the shard count) and the
-    /// gathered candidates merge in `(score desc, id asc)` total order —
-    /// responses stay byte-identical at any setting. `1` keeps the
-    /// unsharded execution path.
-    pub shards: usize,
-    /// Cross-request batching window in ticks (milliseconds). `> 0`
-    /// coalesces proxy-scoring and halving `advance_many` fan-outs from
-    /// different in-flight requests into one substrate call per window;
-    /// `0` disables batching.
-    pub batch_window_ticks: u64,
 }
 
 impl Default for ServeConfig {
@@ -154,17 +156,7 @@ impl Default for ServeConfig {
             max_line_bytes: 1 << 20,
             stall_timeout_ms: Some(30_000),
             net_faults: Arc::new(NetFaultPlan::empty()),
-            shards: 1,
-            batch_window_ticks: 0,
         }
-    }
-}
-
-impl ServeConfig {
-    /// Whether this config routes plain requests through the
-    /// scatter/gather execution path.
-    fn scatter_enabled(&self) -> bool {
-        self.shards.max(1) > 1 || self.batch_window_ticks > 0
     }
 }
 
@@ -241,31 +233,6 @@ pub struct ServeStats {
     /// injected response fault.
     #[serde(default)]
     pub conn_errors: u64,
-    /// Requests executed through the scatter/gather plane (`--shards`
-    /// > 1). Deterministic for a fixed request history.
-    #[serde(default)]
-    pub sharded_requests: u64,
-    /// Scatter proxy jobs fanned out across shard workers. Deterministic
-    /// for a fixed request history.
-    #[serde(default)]
-    pub shard_scatter_jobs: u64,
-    /// Calls submitted to the cross-request batcher (one per shard
-    /// proxy fan-out, one per halving `advance_many` with missing runs).
-    /// Deterministic for a fixed request history.
-    #[serde(default)]
-    pub batch_calls: u64,
-    /// Units of substrate work submitted to the batcher. Deterministic
-    /// for a fixed request history.
-    #[serde(default)]
-    pub batch_jobs: u64,
-    /// Batches actually flushed — how the windows happened to group the
-    /// calls. Schedule-dependent: drain trace and gauges only, never a
-    /// deterministic counter.
-    #[serde(default)]
-    pub batches: u64,
-    /// Widest flush observed (units). Schedule-dependent.
-    #[serde(default)]
-    pub batch_width_max: u64,
 }
 
 /// What a drained server hands back: final stats plus one aggregate
@@ -331,52 +298,6 @@ struct Shared {
     window: Mutex<RollingWindow>,
     /// Optional JSONL access log (bounded, never blocks workers).
     access: Option<AccessLog>,
-    /// Cross-request batcher; present iff `batch_window_ticks > 0`.
-    batcher: Option<Arc<Batcher>>,
-    /// Per-shard busy/served gauges; present iff `shards > 1`.
-    shard_gauges: Option<ShardGauges>,
-}
-
-/// Live per-shard gauges for the scatter plane: how many scatter fan-outs
-/// each shard worker is inside right now, and how many proxy jobs it has
-/// served in total. Point-in-time/schedule-dependent — exposed as gauges
-/// in the metrics scrape, never as deterministic counters.
-struct ShardGauges {
-    busy: Vec<std::sync::atomic::AtomicU64>,
-    jobs: Vec<std::sync::atomic::AtomicU64>,
-}
-
-impl ShardGauges {
-    fn new(shards: usize) -> Self {
-        ShardGauges {
-            busy: (0..shards)
-                .map(|_| std::sync::atomic::AtomicU64::new(0))
-                .collect(),
-            jobs: (0..shards)
-                .map(|_| std::sync::atomic::AtomicU64::new(0))
-                .collect(),
-        }
-    }
-
-    /// Mark shard `s` busy with `jobs` scatter jobs; the guard clears the
-    /// busy mark on drop.
-    fn enter(&self, s: usize, jobs: usize) -> ShardBusy<'_> {
-        self.busy[s].fetch_add(1, Ordering::Relaxed);
-        self.jobs[s].fetch_add(jobs as u64, Ordering::Relaxed);
-        ShardBusy {
-            gauge: &self.busy[s],
-        }
-    }
-}
-
-struct ShardBusy<'g> {
-    gauge: &'g std::sync::atomic::AtomicU64,
-}
-
-impl Drop for ShardBusy<'_> {
-    fn drop(&mut self) {
-        self.gauge.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 enum Lookup {
@@ -409,16 +330,6 @@ impl Server {
         artifacts: &OfflineArtifacts,
         config: ServeConfig,
     ) -> std::io::Result<Self> {
-        if config.scatter_enabled() && config.ann.mode != tps_core::ann::AnnMode::Exact {
-            // The scatter plane partitions the *full* scored-cluster set;
-            // the ANN-indexed candidate stage narrows it globally. The two
-            // compose only in exact mode (where ANN is a no-op), so refuse
-            // the ambiguous config instead of silently changing results.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "--shards > 1 / --batch-window-ticks > 0 require --ann exact",
-            ));
-        }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         Ok(Server {
@@ -499,14 +410,6 @@ impl Server {
             records: Mutex::new(Vec::new()),
             window: Mutex::new(RollingWindow::new(WINDOW_SLOTS, SLOT_MS)),
             access,
-            batcher: (self.config.batch_window_ticks > 0).then(|| {
-                Arc::new(Batcher::new(
-                    self.config.batch_window_ticks,
-                    self.config.threads.max(1),
-                ))
-            }),
-            shard_gauges: (self.config.shards.max(1) > 1)
-                .then(|| ShardGauges::new(self.config.shards)),
         };
         let pool: Vec<usize> = (0..workers).collect();
         crossbeam::thread::scope(|s| {
@@ -514,12 +417,6 @@ impl Server {
             s.spawn(move || {
                 tps_core::parallel::map_indexed(&pool, workers, |_, _| self.worker(sh));
             });
-            // Nonblocking readiness loop: ONE thread accepts and
-            // multiplexes every connection's reads while the shard/worker
-            // pool computes. Writers stay one bounded thread per
-            // connection — responses can block on a slow peer, and a
-            // blocked write must not stall the other connections' reads.
-            let mut conns: Vec<Conn> = Vec::new();
             loop {
                 if SIGNALLED.load(Ordering::SeqCst) {
                     shared.queue.drain();
@@ -532,47 +429,39 @@ impl Server {
                 if shared.queue.draining() {
                     break;
                 }
-                let mut active = false;
-                // Ready-to-accept: take every pending connection.
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
-                            if let Some(conn) = Conn::open(s, sh, &self.config, stream) {
-                                conns.push(conn);
-                                active = true;
-                            } else {
-                                bump_conn_errors(sh);
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => break,
-                    }
-                }
-                // Ready-to-read: pump every connection that has bytes.
-                for conn in conns.iter_mut() {
-                    let body = std::panic::AssertUnwindSafe(|| self.pump(sh, conn));
-                    match catch_panic(body) {
-                        Ok(read) => active |= read,
-                        Err(_) => {
-                            // A poisoned line must not take the readiness
-                            // loop down with it.
-                            bump_conn_errors(sh);
-                            conn.alive = false;
+                match self.listener.accept() {
+                    Ok((stream, _)) => {
+                        let (tx, rx) = mpsc::channel::<String>();
+                        if let Ok(write_half) = stream.try_clone() {
+                            let faults = Arc::clone(&self.config.net_faults);
+                            // Both halves are panic-isolated: a connection
+                            // dying — however badly — must never take the
+                            // accept loop (or the scope) down with it.
+                            s.spawn(move || {
+                                let body = std::panic::AssertUnwindSafe(|| {
+                                    writer_loop(sh, &faults, write_half, rx)
+                                });
+                                if catch_panic(body).is_err() {
+                                    bump_conn_errors(sh);
+                                }
+                            });
+                            s.spawn(move || {
+                                let body = std::panic::AssertUnwindSafe(|| {
+                                    self.reader_loop(sh, stream, tx)
+                                });
+                                if catch_panic(body).is_err() {
+                                    bump_conn_errors(sh);
+                                }
+                            });
                         }
                     }
-                    if shared.queue.draining() {
-                        break;
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(2));
                     }
-                }
-                conns.retain(|c| c.alive);
-                if !active {
-                    std::thread::sleep(Duration::from_millis(1));
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => std::thread::sleep(Duration::from_millis(2)),
                 }
             }
-            // Dropping the connections drops their reply senders; each
-            // writer flushes what the drain still answers, then exits.
-            drop(conns);
         })
         .expect("server threads do not panic");
         Ok(self.summarize(shared))
@@ -594,32 +483,10 @@ impl Server {
             stats.access_log_written = counters.written;
             stats.access_log_dropped = counters.dropped;
         }
-        if let Some(batcher) = &shared.batcher {
-            stats.batch_calls = batcher.calls();
-            stats.batch_jobs = batcher.jobs();
-            stats.batches = batcher.flushes();
-            stats.batch_width_max = batcher.width_max();
-        }
         let records = shared.records.into_inner().unwrap();
         let mut trace = aggregate_records(records);
         for (name, value) in self.deterministic_counters(&stats) {
             trace.counters.insert(name, value);
-        }
-        // Schedule-dependent batching/sharding shape — drain trace only
-        // (like peak occupancy), so live counter lines stay byte-stable.
-        if self.config.shards.max(1) > 1 {
-            trace
-                .counters
-                .insert("serve.shards".to_string(), self.config.shards as f64);
-        }
-        if shared.batcher.is_some() {
-            trace
-                .counters
-                .insert("serve.batches".to_string(), stats.batches as f64);
-            trace.counters.insert(
-                "serve.batch_width_max".to_string(),
-                stats.batch_width_max as f64,
-            );
         }
         // The drain trace additionally records peak occupancy, capacity,
         // and worker count as counters — the overload budget rules read
@@ -699,28 +566,6 @@ impl Server {
         if stats.conn_errors > 0 {
             out.push(("serve.conn_errors".to_string(), stats.conn_errors as f64));
         }
-        // Scatter/batching counters appear only when the features are on
-        // and did something, keeping plain configs byte-identical to
-        // earlier builds. All four are schedule-independent: they count
-        // submissions, not how the windows grouped them.
-        if stats.sharded_requests > 0 {
-            out.push((
-                "serve.sharded_requests".to_string(),
-                stats.sharded_requests as f64,
-            ));
-        }
-        if stats.shard_scatter_jobs > 0 {
-            out.push((
-                "serve.shard_scatter_jobs".to_string(),
-                stats.shard_scatter_jobs as f64,
-            ));
-        }
-        if stats.batch_calls > 0 {
-            out.push(("serve.batch_calls".to_string(), stats.batch_calls as f64));
-        }
-        if stats.batch_jobs > 0 {
-            out.push(("serve.batch_jobs".to_string(), stats.batch_jobs as f64));
-        }
         out
     }
 
@@ -773,35 +618,6 @@ impl Server {
         gauges.insert("serve.window_p50_us".to_string(), percentiles.p50_us as f64);
         gauges.insert("serve.window_p95_us".to_string(), percentiles.p95_us as f64);
         gauges.insert("serve.window_p99_us".to_string(), percentiles.p99_us as f64);
-        // Scatter-plane gauges appear only when the features are on, so a
-        // plain server's scrape is unchanged. Per-shard occupancy (busy
-        // fan-outs + served jobs) and batch-width shape are point-in-time
-        // readings, outside the determinism contract like the queue
-        // gauges above.
-        if let Some(shard) = &sh.shard_gauges {
-            gauges.insert("serve.shards".to_string(), shard.busy.len() as f64);
-            for (s, (busy, jobs)) in shard.busy.iter().zip(&shard.jobs).enumerate() {
-                gauges.insert(
-                    format!("serve.shard{s}_busy"),
-                    busy.load(Ordering::Relaxed) as f64,
-                );
-                gauges.insert(
-                    format!("serve.shard{s}_jobs"),
-                    jobs.load(Ordering::Relaxed) as f64,
-                );
-            }
-        }
-        if let Some(batcher) = &sh.batcher {
-            gauges.insert("serve.batches".to_string(), batcher.flushes() as f64);
-            gauges.insert(
-                "serve.batch_width_last".to_string(),
-                batcher.width_last() as f64,
-            );
-            gauges.insert(
-                "serve.batch_width_max".to_string(),
-                batcher.width_max() as f64,
-            );
-        }
         tps_core::telemetry::openmetrics::render_with_gauges(&trace, &gauges)
     }
 
@@ -821,12 +637,6 @@ impl Server {
             stats.access_log_records = access.records;
             stats.access_log_written = access.written;
             stats.access_log_dropped = access.dropped;
-        }
-        if let Some(batcher) = &sh.batcher {
-            stats.batch_calls = batcher.calls();
-            stats.batch_jobs = batcher.jobs();
-            stats.batches = batcher.flushes();
-            stats.batch_width_max = batcher.width_max();
         }
         stats.clone()
     }
@@ -884,7 +694,7 @@ impl Server {
             }
             Lookup::Lead => {
                 let started = Instant::now();
-                let executed = self.execute(sh, &job);
+                let executed = self.execute(&job);
                 let elapsed_us = started.elapsed().as_micros() as u64;
                 match executed {
                     Ok((entry, report)) => {
@@ -1067,19 +877,7 @@ impl Server {
         sh.flight_done.notify_all();
     }
 
-    fn execute(
-        &self,
-        sh: &Shared,
-        job: &Job,
-    ) -> tps_core::error::Result<(CacheEntry, TraceReport)> {
-        // Fault-plan requests stay on the plain path even with sharding
-        // or batching on: scripted fault schedules count *attempts* on
-        // the wrapped oracle/trainer pair, an ordering the scatter plane
-        // does not reproduce. Everything else routes through
-        // scatter/gather when either knob is set.
-        if self.config.scatter_enabled() && job.plan.is_none() {
-            return self.execute_scatter(sh, job);
-        }
+    fn execute(&self, job: &Job) -> tps_core::error::Result<(CacheEntry, TraceReport)> {
         let (tel, sink) = Telemetry::recording();
         let gen = &*job.gen;
         let oracle = ZooOracle::new(&gen.world, job.target)?;
@@ -1087,164 +885,9 @@ impl Server {
         let (oracle, mut trainer) = fault::wrap_pair(oracle, trainer, job.plan.as_ref());
         let outcome =
             two_phase_select_traced(&gen.artifacts, &oracle, &mut trainer, &job.config, &tel)?;
-        Self::entry_from_outcome(&job.gen, job.target, outcome, sink)
-    }
-
-    /// Scatter/gather execution: coarse recall fans out across the shard
-    /// partition (optionally coalesced with other requests through the
-    /// batcher), the gather stage merges the per-shard rankings in
-    /// `(score desc, id asc)` total order, and fine selection runs on the
-    /// merged candidates with batched `advance_many` fan-outs. The
-    /// outcome — spans, counters, response bytes — is identical to the
-    /// plain path.
-    fn execute_scatter(
-        &self,
-        sh: &Shared,
-        job: &Job,
-    ) -> tps_core::error::Result<(CacheEntry, TraceReport)> {
-        use tps_core::shard::{self, ShardPlan, ShardSpec};
-        let (tel, sink) = Telemetry::recording();
-        let gen = &*job.gen;
-        let threads = job.config.parallel.resolve();
-        let shards = self.config.shards.max(1);
-        let outcome = {
-            let _span = tel.span("pipeline.two_phase_select");
-            let recall = {
-                let _coarse = tel.span("recall.coarse");
-                let artifacts = &gen.artifacts;
-                let (reps, scored) = shard::scatter_set(
-                    &artifacts.matrix,
-                    &artifacts.clustering,
-                    &artifacts.similarity,
-                    &job.config.recall,
-                )?;
-                tel.add("recall.candidates", artifacts.matrix.n_models() as f64);
-                tel.observe("recall.fanout_width", scored.len() as f64);
-                let plan =
-                    ShardPlan::build(ShardSpec::new(shards), artifacts.clustering.n_clusters())?;
-                if shards > 1 {
-                    let mut stats = sh.stats.lock().unwrap();
-                    stats.sharded_requests += 1;
-                    stats.shard_scatter_jobs += scored.len() as u64;
-                }
-                let firsts = {
-                    let _scoring = tel.span("recall.proxy_scoring");
-                    self.scatter_firsts(sh, job, &plan, &reps, &scored, threads)
-                };
-                shard::resolve_and_gather(
-                    &artifacts.matrix,
-                    &artifacts.clustering,
-                    &artifacts.similarity,
-                    &job.config.recall,
-                    &plan,
-                    reps,
-                    &scored,
-                    firsts,
-                    &mut |rep| batch::proxy_score(gen, job.target, rep),
-                    threads,
-                    &tel,
-                )?
-            };
-            let trainer = ZooTrainer::new(&gen.world, job.target)?.with_telemetry(tel.clone());
-            let selection = if let Some(batcher) = &sh.batcher {
-                let mut trainer = BatchedTrainer::new(
-                    trainer,
-                    Arc::clone(&job.gen),
-                    job.target,
-                    Arc::clone(batcher),
-                );
-                fine_selection_traced(
-                    &mut trainer,
-                    &recall.recalled,
-                    job.config.total_stages,
-                    &gen.artifacts.trends,
-                    &job.config.fine,
-                    threads,
-                    &tel,
-                )?
-            } else {
-                let mut trainer = trainer;
-                fine_selection_traced(
-                    &mut trainer,
-                    &recall.recalled,
-                    job.config.total_stages,
-                    &gen.artifacts.trends,
-                    &job.config.fine,
-                    threads,
-                    &tel,
-                )?
-            };
-            tps_core::pipeline::assemble_outcome(recall, selection)
-        };
-        Self::entry_from_outcome(&job.gen, job.target, outcome, sink)
-    }
-
-    /// The scatter fan-out of one request's proxy scorings: each shard
-    /// worker scores the representatives of the clusters it owns (through
-    /// the batcher when one is configured, so concurrent requests share
-    /// substrate calls), and the per-shard results reassemble by position.
-    fn scatter_firsts(
-        &self,
-        sh: &Shared,
-        job: &Job,
-        plan: &tps_core::shard::ShardPlan,
-        reps: &[tps_core::ids::ModelId],
-        scored: &[usize],
-        threads: usize,
-    ) -> Vec<Option<tps_core::error::Result<f64>>> {
-        let gen = &*job.gen;
-        let locals = plan.partition_positions(scored);
-        let shard_ids: Vec<usize> = (0..plan.shards()).collect();
-        let per_shard: Vec<Vec<(usize, tps_core::error::Result<f64>)>> =
-            tps_core::parallel::map_indexed(&shard_ids, threads, |_, &s| {
-                let _busy = sh
-                    .shard_gauges
-                    .as_ref()
-                    .map(|g| g.enter(s, locals[s].len()));
-                match &sh.batcher {
-                    Some(batcher) if !locals[s].is_empty() => {
-                        let units: Vec<Unit> = locals[s]
-                            .iter()
-                            .map(|&pos| Unit {
-                                gen: Arc::clone(&job.gen),
-                                target: job.target,
-                                kind: UnitKind::Proxy(reps[scored[pos]]),
-                            })
-                            .collect();
-                        let outs = batcher.run(units);
-                        locals[s]
-                            .iter()
-                            .zip(outs)
-                            .map(|(&pos, out)| (pos, out.into_proxy()))
-                            .collect()
-                    }
-                    _ => locals[s]
-                        .iter()
-                        .map(|&pos| (pos, batch::proxy_score(gen, job.target, reps[scored[pos]])))
-                        .collect(),
-                }
-            });
-        let mut firsts: Vec<Option<tps_core::error::Result<f64>>> =
-            (0..scored.len()).map(|_| None).collect();
-        for shard_out in per_shard {
-            for (pos, r) in shard_out {
-                firsts[pos] = Some(r);
-            }
-        }
-        firsts
-    }
-
-    /// Shared tail of both execution paths: total the ledger, serialize
-    /// the response payload, strip per-stage counters from the report.
-    fn entry_from_outcome(
-        gen: &Arc<GenerationState>,
-        target: usize,
-        outcome: tps_core::pipeline::PipelineOutcome,
-        sink: Arc<tps_core::telemetry::RecordingSink>,
-    ) -> tps_core::error::Result<(CacheEntry, TraceReport)> {
         let total_epochs = outcome.ledger.total();
         let retry_epochs = outcome.ledger.retry_epochs();
-        let result = SelectionResult::new(&gen.world, &gen.artifacts, target, outcome);
+        let result = SelectionResult::new(&gen.world, &gen.artifacts, job.target, outcome);
         let result_json = serde_json::to_string(&result)
             .map_err(|e| tps_core::error::SelectionError::Backend(format!("serialize: {e}")))?;
         let mut report = sink.report();
@@ -1259,85 +902,75 @@ impl Server {
         ))
     }
 
-    /// Drain `conn`'s socket without blocking: read every available
-    /// chunk, dispatch every complete line, enforce the line-length cap
-    /// and the slow-loris partial-line timeout. Returns whether any bytes
-    /// arrived (the readiness loop's idle signal). Marks the connection
-    /// dead instead of returning early so the loop's `retain` reaps it.
-    fn pump(&self, sh: &Shared, conn: &mut Conn) -> bool {
+    /// Read one connection's request lines until EOF, an oversized or
+    /// stalled line, or a drain, dispatching each line as it completes.
+    fn reader_loop(&self, sh: &Shared, mut stream: TcpStream, tx: mpsc::Sender<String>) {
+        // The listener is nonblocking, and some platforms hand that flag
+        // on to accepted sockets; this reader must block in `read`.
+        let _ = stream.set_nonblocking(false);
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
         let max_line = self.config.max_line_bytes.max(1);
         let stall = self.config.stall_timeout_ms.map(Duration::from_millis);
+        let mut buf: Vec<u8> = Vec::new();
         let mut chunk = [0u8; 4096];
-        let mut any = false;
-        while conn.alive {
-            match conn.stream.read(&mut chunk) {
+        // Set while `buf` holds an unterminated partial line — the only
+        // state the slow-loris timeout applies to.
+        let mut partial_since: Option<Instant> = None;
+        loop {
+            while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+                let raw: Vec<u8> = buf.drain(..=pos).collect();
+                if raw.len() - 1 > max_line {
+                    self.reject_oversized(sh, &tx, max_line);
+                    return;
+                }
+                let line = String::from_utf8_lossy(&raw[..raw.len() - 1]);
+                let line = line.trim();
+                if !line.is_empty() {
+                    self.handle_line(sh, line, &tx);
+                }
+            }
+            if buf.len() > max_line {
+                // No newline yet and already over the cap: reject now
+                // instead of buffering a garbage client without bound.
+                self.reject_oversized(sh, &tx, max_line);
+                return;
+            }
+            if buf.is_empty() {
+                partial_since = None;
+            } else if partial_since.is_none() {
+                partial_since = Some(Instant::now());
+            }
+            if let (Some(stall), Some(since)) = (stall, partial_since) {
+                if since.elapsed() >= stall {
+                    // Slow loris: a partial request line held open too
+                    // long. Close without an envelope — the peer is not
+                    // speaking the protocol.
+                    bump_conn_errors(sh);
+                    return;
+                }
+            }
+            if sh.queue.draining() {
+                return;
+            }
+            match stream.read(&mut chunk) {
                 Ok(0) => {
-                    if !conn.buf.is_empty() {
+                    if !buf.is_empty() {
                         // EOF mid-line: the client died mid-request.
                         bump_conn_errors(sh);
                     }
-                    conn.alive = false;
-                    return any;
+                    return;
                 }
-                Ok(n) => {
-                    any = true;
-                    conn.buf.extend_from_slice(&chunk[..n]);
-                    while let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') {
-                        let raw: Vec<u8> = conn.buf.drain(..=pos).collect();
-                        if raw.len() - 1 > max_line {
-                            self.reject_oversized(sh, &conn.tx, max_line);
-                            conn.alive = false;
-                            return any;
-                        }
-                        let line = String::from_utf8_lossy(&raw[..raw.len() - 1]);
-                        let line = line.trim();
-                        if !line.is_empty() {
-                            self.handle_line(sh, line, &conn.tx);
-                        }
-                        if sh.queue.draining() {
-                            return any;
-                        }
-                    }
-                    if conn.buf.len() > max_line {
-                        // No newline yet and already over the cap: reject
-                        // now instead of buffering a garbage client
-                        // without bound.
-                        self.reject_oversized(sh, &conn.tx, max_line);
-                        conn.alive = false;
-                        return any;
-                    }
-                }
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
                 Err(e)
                     if e.kind() == ErrorKind::WouldBlock
                         || e.kind() == ErrorKind::TimedOut
-                        || e.kind() == ErrorKind::Interrupted =>
-                {
-                    break;
-                }
+                        || e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {
                     bump_conn_errors(sh);
-                    conn.alive = false;
-                    return any;
+                    return;
                 }
             }
         }
-        // Slow-loris bookkeeping: the timeout applies only while `buf`
-        // holds an unterminated partial line.
-        if conn.buf.is_empty() {
-            conn.partial_since = None;
-        } else if conn.partial_since.is_none() {
-            conn.partial_since = Some(Instant::now());
-        }
-        if let (Some(stall), Some(since)) = (stall, conn.partial_since) {
-            if since.elapsed() >= stall {
-                // A partial request line held open too long. Close
-                // without an envelope — the peer is not speaking the
-                // protocol.
-                bump_conn_errors(sh);
-                conn.alive = false;
-            }
-        }
-        any
     }
 
     /// Structured rejection for an over-length request line; the caller
@@ -1526,51 +1159,6 @@ impl Server {
     }
 }
 
-/// One multiplexed connection owned by the readiness loop: the
-/// nonblocking read half plus its line buffer, and the sender feeding the
-/// connection's writer thread.
-struct Conn {
-    stream: TcpStream,
-    tx: mpsc::Sender<String>,
-    buf: Vec<u8>,
-    /// Set while `buf` holds an unterminated partial line — the only
-    /// state the slow-loris timeout applies to.
-    partial_since: Option<Instant>,
-    alive: bool,
-}
-
-impl Conn {
-    /// Switch the stream to nonblocking reads and spawn the connection's
-    /// writer thread into the server scope. `None` when the socket can't
-    /// be configured or cloned (the caller counts a conn error).
-    fn open<'scope, 'env>(
-        s: &'scope std::thread::Scope<'scope, 'env>,
-        sh: &'env Shared,
-        config: &ServeConfig,
-        stream: TcpStream,
-    ) -> Option<Conn> {
-        stream.set_nonblocking(true).ok()?;
-        let write_half = stream.try_clone().ok()?;
-        let (tx, rx) = mpsc::channel::<String>();
-        let faults = Arc::clone(&config.net_faults);
-        // The writer is panic-isolated: a connection dying — however
-        // badly — must never take the scope down with it.
-        s.spawn(move || {
-            let body = std::panic::AssertUnwindSafe(|| writer_loop(sh, &faults, write_half, rx));
-            if catch_panic(body).is_err() {
-                bump_conn_errors(sh);
-            }
-        });
-        Some(Conn {
-            stream,
-            tx,
-            buf: Vec::new(),
-            partial_since: None,
-            alive: true,
-        })
-    }
-}
-
 /// Fold per-request reports into one aggregate trace in fingerprint
 /// order, not completion order: the result must be identical however the
 /// scheduler interleaved the workers — the property both the drain trace
@@ -1658,7 +1246,7 @@ fn bump_conn_errors(sh: &Shared) {
 /// Run `f` with panics contained to this call. Used at every connection
 /// and worker thread boundary so one poisoned request cannot unwind
 /// through the crossbeam scope and abort the whole server.
-fn catch_panic<R, F: FnOnce() -> R>(f: std::panic::AssertUnwindSafe<F>) -> std::thread::Result<R> {
+fn catch_panic<F: FnOnce()>(f: std::panic::AssertUnwindSafe<F>) -> std::thread::Result<()> {
     std::panic::catch_unwind(f)
 }
 

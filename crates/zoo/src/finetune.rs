@@ -76,12 +76,9 @@ impl<'w> ZooTrainer<'w> {
     }
 
     /// Models in `pool` whose transfer run is not yet materialised, deduped,
-    /// in pool order. Validates exactly like [`TargetTrainer::advance_many`]:
-    /// the first invalid model (in pool order) errors before any run would
-    /// be synthesised, so a caller that materialises the returned runs
-    /// externally (e.g. a cross-request batcher) keeps serial error
-    /// semantics.
-    pub fn missing_runs(&self, pool: &[ModelId]) -> Result<Vec<ModelId>> {
+    /// in pool order. Validates like a serial `advance` loop: the first
+    /// invalid model (in pool order) errors before any run is synthesised.
+    fn missing_runs(&self, pool: &[ModelId]) -> Result<Vec<ModelId>> {
         let mut seen = vec![false; self.world.n_models()];
         let mut missing = Vec::new();
         for &m in pool {
@@ -92,23 +89,6 @@ impl<'w> ZooTrainer<'w> {
             }
         }
         Ok(missing)
-    }
-
-    /// Install an externally materialised transfer run. `run` must be
-    /// `world.target_run(model, target)` for this trainer's target —
-    /// synthesis is a pure function of `(world, model, target)`, so an
-    /// external producer (shard worker, batcher) computes the identical
-    /// run. A run already present is left untouched; a newly installed one
-    /// counts toward `zoo.train.runs`, matching what lazy materialisation
-    /// would have recorded.
-    pub fn install_run(&mut self, model: ModelId, run: TransferRun) -> Result<()> {
-        self.check_model(model)?;
-        let idx = model.index();
-        if self.runs[idx].is_none() {
-            self.runs[idx] = Some(run);
-            self.tel.incr("zoo.train.runs");
-        }
-        Ok(())
     }
 }
 

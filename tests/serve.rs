@@ -256,131 +256,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2))]
-
-    /// Acceptance for the scatter/gather plane: for any world seed, the
-    /// full cross of `shards {1, 2, 4}` × batching window `{0, 1}` ×
-    /// `max_inflight {1, 4}` answers the fixed request mix with responses
-    /// byte-identical to the plain single-shard server — and the
-    /// schedule-independent accounting (executed, cache hits, scatter
-    /// jobs, batch submissions) is identical wherever the feature set
-    /// matches.
-    #[test]
-    fn sharded_and_batched_responses_are_byte_identical(seed in 0u64..100) {
-        let bundle = WorldBundle::from_world(small_world(seed));
-        let requests = request_mix(&bundle.world);
-
-        let (reference, r) = drive_concurrent(&bundle, serve_config(1), &requests);
-        prop_assert!(r.trace.completed);
-
-        let mut scatter_jobs = None;
-        for shards in [1usize, 2, 4] {
-            for ticks in [0u64, 1] {
-                for max_inflight in [1usize, 4] {
-                    if shards == 1 && ticks == 0 {
-                        continue; // that's the reference plane itself
-                    }
-                    let config = ServeConfig {
-                        shards,
-                        batch_window_ticks: ticks,
-                        ..serve_config(max_inflight)
-                    };
-                    let (lines, summary) = drive_concurrent(&bundle, config, &requests);
-                    prop_assert_eq!(
-                        &lines,
-                        &reference,
-                        "shards={} ticks={} max_inflight={} diverged from the plain server",
-                        shards, ticks, max_inflight
-                    );
-                    let stats = &summary.stats;
-                    prop_assert_eq!(stats.requests, requests.len() as u64);
-                    prop_assert_eq!(stats.executed, r.stats.executed);
-                    prop_assert_eq!(stats.cache_hits, r.stats.cache_hits);
-                    prop_assert!((stats.total_epochs - r.stats.total_epochs).abs() < 1e-9);
-                    if shards > 1 {
-                        // Scatter accounting is schedule-independent: the
-                        // same totals at any shard count > 1 and any
-                        // max_inflight.
-                        prop_assert_eq!(stats.sharded_requests, stats.executed);
-                        let jobs = *scatter_jobs.get_or_insert(stats.shard_scatter_jobs);
-                        prop_assert_eq!(stats.shard_scatter_jobs, jobs);
-                    }
-                    if ticks > 0 {
-                        prop_assert!(stats.batch_calls > 0);
-                        prop_assert!(stats.batch_calls <= stats.batch_jobs);
-                        prop_assert!(stats.batches <= stats.batch_calls);
-                    } else {
-                        prop_assert_eq!(stats.batch_calls, 0);
-                    }
-                    prop_assert!(summary.trace.completed);
-                }
-            }
-        }
-    }
-}
-
-/// The scatter plane is observable live: per-shard busy/jobs occupancy and
-/// batch-width gauges appear in the `{"op":"metrics"}` scrape, and the
-/// drain trace carries the deterministic batch/scatter counters plus the
-/// schedule-dependent shape (`serve.batches`, `serve.shards`).
-#[test]
-fn scatter_gauges_and_batch_counters_are_exported() {
-    let bundle = WorldBundle::from_world(small_world(11));
-    let requests = request_mix(&bundle.world);
-    let config = ServeConfig {
-        shards: 2,
-        batch_window_ticks: 1,
-        ..serve_config(4)
-    };
-    let (scrape, summary) = drive_and_scrape(&bundle, config, &requests);
-
-    // Live gauges: shard count, one busy/jobs pair per shard, batch shape.
-    for gauge in [
-        "tps_serve_shards ",
-        "tps_serve_shard0_busy ",
-        "tps_serve_shard0_jobs ",
-        "tps_serve_shard1_busy ",
-        "tps_serve_shard1_jobs ",
-        "tps_serve_batches ",
-        "tps_serve_batch_width_last ",
-        "tps_serve_batch_width_max ",
-    ] {
-        assert!(scrape.contains(gauge), "scrape missing {gauge}: {scrape}");
-    }
-    // Deterministic counters ride the scrape's counter section too.
-    assert!(scrape.contains("tps_serve_sharded_requests_total "));
-    assert!(scrape.contains("tps_serve_batch_calls_total "));
-
-    let stats = &summary.stats;
-    assert_eq!(stats.sharded_requests, stats.executed);
-    assert!(stats.shard_scatter_jobs > 0);
-    assert!(stats.batch_calls > 0);
-    assert!(stats.batch_jobs >= stats.batch_calls);
-    assert!(stats.batch_width_max >= 1);
-    // The drain trace records both the deterministic totals and the
-    // schedule-dependent shape for `tps trace check` / `tps top`.
-    for counter in [
-        "serve.sharded_requests",
-        "serve.shard_scatter_jobs",
-        "serve.batch_calls",
-        "serve.batch_jobs",
-        "serve.batches",
-        "serve.batch_width_max",
-        "serve.shards",
-    ] {
-        assert!(
-            summary.trace.counter(counter).is_some(),
-            "drain trace missing {counter}"
-        );
-    }
-    assert_eq!(
-        summary.trace.counter("serve.shards"),
-        Some(2.0),
-        "the shard count is echoed into the drain trace"
-    );
-}
-
 /// `{"op":"stats"}` is point-in-time: while a held request is being
 /// executed, the snapshot shows it as live occupancy; after the drain the
 /// cumulative counters reconcile with the admission accounting.
